@@ -4,6 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 use hotid::BuildIdentifierError;
+use nand::pool::FreeExhausted;
 use nand::{NandError, PageAddr};
 use swl_core::SwlError;
 
@@ -111,6 +112,12 @@ impl Error for FtlError {
 impl From<NandError> for FtlError {
     fn from(e: NandError) -> Self {
         FtlError::Device(e)
+    }
+}
+
+impl From<FreeExhausted> for FtlError {
+    fn from(_: FreeExhausted) -> Self {
+        FtlError::FreeExhausted
     }
 }
 

@@ -14,9 +14,21 @@
 //!   0.2 % of capacity (configurable).
 //! - **Dynamic wear leveling** — the allocator always takes the free block
 //!   with the lowest erase count.
-//! - **Static wear leveling** — optional [`swl_core::SwLeveler`] integration: the FTL
-//!   implements [`swl_core::SwlCleaner`], reports every erase to
-//!   SWL-BETUpdate and lets SWL-Procedure force cold blocks through GC.
+//! - **Static wear leveling** — optional [`swl_core::SwLeveler`] integration
+//!   through [`nand::pool::SwlDriver`]: every erase is reported to
+//!   SWL-BETUpdate, and SWL-Procedure forces cold blocks through GC.
+//!
+//! ## Pool and policy
+//!
+//! The block-level half of the Cleaner is the shared
+//! [`nand::pool::BlockPool`], the same one under the `nftl` crate: the free
+//! ladder and its min-wear pop, erase-and-free, bad-block retirement,
+//! GC-vs-SWL erase attribution, the free-target threshold and causal spans.
+//! This crate is the page-mapping policy on top of it, [`PageMapping`]: the
+//! translation table, the write frontiers (with optional hot/cold
+//! separation), copy-on-write snapshots, the data-page half of mount, and
+//! greedy victim scoring per block. [`PageMappedFtl`] is that policy in the
+//! shared [`nand::pool::SwlDriver`] shell.
 //!
 //! ## Example
 //!
@@ -50,4 +62,4 @@ mod translation;
 pub use config::{FtlConfig, SnapshotConfig};
 pub use counters::FtlCounters;
 pub use error::FtlError;
-pub use translation::{PageMappedFtl, SnapshotAudit};
+pub use translation::{PageMappedFtl, PageMapping, SnapshotAudit};

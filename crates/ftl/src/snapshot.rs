@@ -30,7 +30,7 @@
 //!
 //! Physical pages are refcounted: `refs[p]` counts the mapping sets whose
 //! map currently points at `p`, plus (mid-merge only) pending merge
-//! decrefs that [`crate::PageMappedFtl::merge_commit`] will apply. A page
+//! decrefs that [`crate::PageMapping::merge_commit`] will apply. A page
 //! is device-invalidated exactly when its refcount reaches zero, so GC and
 //! SWL — which only see valid/invalid page counts — stay honest for free:
 //! a snapshot-pinned page is valid, gets copied (once) on relocation, and

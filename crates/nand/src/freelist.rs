@@ -8,8 +8,8 @@
 //! and O(1) amortized pop: the minimum cursor only moves backward when a
 //! lower-wear block is pushed, which itself bounds the forward re-scans.
 //!
-//! Shared by the page-mapping FTL and the NFTL (both of this workspace's
-//! translation layers allocate the same way).
+//! Owned by [`crate::pool::BlockPool`], the block pool under both of this
+//! workspace's translation layers.
 
 use std::collections::VecDeque;
 

@@ -58,6 +58,7 @@ pub mod fault;
 pub mod freelist;
 mod geometry;
 mod page;
+pub mod pool;
 mod stats;
 pub mod victim;
 mod wearmap;

@@ -3,6 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
+use nand::pool::FreeExhausted;
 use nand::NandError;
 use swl_core::SwlError;
 
@@ -66,6 +67,12 @@ impl Error for NftlError {
 impl From<NandError> for NftlError {
     fn from(e: NandError) -> Self {
         NftlError::Device(e)
+    }
+}
+
+impl From<FreeExhausted> for NftlError {
+    fn from(_: FreeExhausted) -> Self {
+        NftlError::FreeExhausted
     }
 }
 

@@ -17,7 +17,19 @@
 //! - the allocator takes the lowest-erase-count free block (dynamic wear
 //!   leveling);
 //! - the [`SwLeveler`](swl_core::SwLeveler) plugs in through
-//!   [`swl_core::SwlCleaner`] to force cold blocks through recycling.
+//!   [`nand::pool::SwlDriver`] to force cold blocks through recycling.
+//!
+//! ## Pool and policy
+//!
+//! The block-level half of the Cleaner is the shared
+//! [`nand::pool::BlockPool`], the same one under the `ftl` crate: the free
+//! ladder and its min-wear pop, erase-and-free, bad-block retirement,
+//! erase attribution, the free-target threshold and causal spans. This
+//! crate is the block-mapping policy on top of it, [`BlockMapping`]:
+//! primary/replacement pairs per virtual block, merges (which attribute
+//! their own erases by merge cause), the data-page half of mount, and
+//! greedy victim scoring per VBA. [`BlockMappedNftl`] is that policy in the
+//! shared [`nand::pool::SwlDriver`] shell.
 //!
 //! ## Example
 //!
@@ -47,4 +59,4 @@ mod translation;
 pub use config::NftlConfig;
 pub use counters::NftlCounters;
 pub use error::NftlError;
-pub use translation::BlockMappedNftl;
+pub use translation::{BlockMappedNftl, BlockMapping};

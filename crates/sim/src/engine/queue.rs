@@ -2,12 +2,20 @@
 //!
 //! The execution engine shards work across worker threads through one
 //! [`ShardQueue`] per worker (commands) plus one shared queue flowing back
-//! (completions). The queue is deliberately tiny — `Mutex<VecDeque>` with two
-//! condvars — because the simulator's unit of work (a multi-page flash
-//! sub-request) costs microseconds, so queue overhead is irrelevant next to
-//! correctness. Bounded capacity is what provides *backpressure*: a host
-//! front-end racing ahead of a slow lane blocks in [`ShardQueue::push`]
-//! instead of buffering unboundedly.
+//! (completions). It is a plain `Mutex<VecDeque>` with two condvars, and it
+//! exists for two guarantees rather than for speed:
+//!
+//! - *Backpressure.* Bounded capacity makes a host front-end racing ahead
+//!   of a slow lane block in [`ShardQueue::push`] instead of buffering
+//!   unboundedly.
+//! - *The drain barrier* (below).
+//!
+//! Its cost is not negligible: one work unit (a multi-page flash
+//! sub-request) takes microseconds, about as long as a lock-and-wake
+//! hand-off, and threaded engine runs spend a large share of their CPU time
+//! in the kernel. The repository benchmark's ledger (`perfbench --trace 1`)
+//! reports that cost per level as `proc.<level>.sys_s` and `proc.sys_share`;
+//! read it there before changing the hand-off.
 //!
 //! Closing the queue ([`ShardQueue::close`]) makes every producer fail fast
 //! and lets consumers drain what is already queued before seeing `None` —

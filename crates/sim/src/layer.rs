@@ -3,9 +3,10 @@
 use std::fmt;
 
 use flash_telemetry::{NullSink, Sink};
-use ftl::{FtlConfig, PageMappedFtl};
+use ftl::{FtlConfig, PageMappedFtl, PageMapping};
+use nand::pool::{MappingPolicy, SwlDriver};
 use nand::{FaultPlan, NandDevice};
-use nftl::{BlockMappedNftl, NftlConfig};
+use nftl::{BlockMappedNftl, BlockMapping, NftlConfig};
 use swl_core::{LevelOutcome, SwLeveler, SwlConfig};
 
 use crate::error::SimError;
@@ -93,75 +94,59 @@ pub trait TranslationLayer {
     fn force_recycle(&mut self, first_block: u32, count: u32) -> Result<u64, SimError>;
 }
 
-impl<S: Sink> TranslationLayer for PageMappedFtl<S> {
-    type Sink = S;
-
-    fn write(&mut self, lba: u64, data: u64) -> Result<(), SimError> {
-        PageMappedFtl::write(self, lba, data).map_err(SimError::from)
-    }
-
-    fn read(&mut self, lba: u64) -> Result<Option<u64>, SimError> {
-        PageMappedFtl::read(self, lba).map_err(SimError::from)
-    }
-
-    fn logical_pages(&self) -> u64 {
-        PageMappedFtl::logical_pages(self)
-    }
-
-    fn device(&self) -> &NandDevice<S> {
-        PageMappedFtl::device(self)
-    }
-
-    fn counters(&self) -> LayerCounters {
-        PageMappedFtl::counters(self)
-    }
-
-    fn swl(&self) -> Option<&SwLeveler> {
-        PageMappedFtl::swl(self)
-    }
-
-    fn kind(&self) -> LayerKind {
-        LayerKind::Ftl
-    }
-
-    fn force_recycle(&mut self, first_block: u32, count: u32) -> Result<u64, SimError> {
-        PageMappedFtl::force_recycle(self, first_block, count).map_err(SimError::from)
+mod sealed {
+    /// Names the [`LayerKind`](super::LayerKind) of a mapping policy.
+    pub trait Kind {
+        const KIND: super::LayerKind;
     }
 }
 
-impl<S: Sink> TranslationLayer for BlockMappedNftl<S> {
-    type Sink = S;
+impl<S: Sink> sealed::Kind for PageMapping<S> {
+    const KIND: LayerKind = LayerKind::Ftl;
+}
+
+impl<S: Sink> sealed::Kind for BlockMapping<S> {
+    const KIND: LayerKind = LayerKind::Nftl;
+}
+
+/// Both layers are the shared [`SwlDriver`] shell over a mapping policy.
+impl<P> TranslationLayer for SwlDriver<P>
+where
+    P: MappingPolicy + sealed::Kind,
+    SimError: From<P::Error>,
+{
+    type Sink = P::Sink;
 
     fn write(&mut self, lba: u64, data: u64) -> Result<(), SimError> {
-        BlockMappedNftl::write(self, lba, data).map_err(SimError::from)
+        SwlDriver::write(self, lba, data).map_err(SimError::from)
     }
 
     fn read(&mut self, lba: u64) -> Result<Option<u64>, SimError> {
-        BlockMappedNftl::read(self, lba).map_err(SimError::from)
+        SwlDriver::read(self, lba).map_err(SimError::from)
     }
 
     fn logical_pages(&self) -> u64 {
-        BlockMappedNftl::logical_pages(self)
+        SwlDriver::logical_pages(self)
     }
 
-    fn device(&self) -> &NandDevice<S> {
-        BlockMappedNftl::device(self)
+    fn device(&self) -> &NandDevice<P::Sink> {
+        SwlDriver::device(self)
     }
 
     fn counters(&self) -> LayerCounters {
-        BlockMappedNftl::counters(self)
+        SwlDriver::counters(self)
     }
 
     fn swl(&self) -> Option<&SwLeveler> {
-        BlockMappedNftl::swl(self)
+        SwlDriver::swl(self)
     }
 
     fn kind(&self) -> LayerKind {
-        LayerKind::Nftl
+        P::KIND
     }
 
     fn force_recycle(&mut self, first_block: u32, count: u32) -> Result<u64, SimError> {
-        BlockMappedNftl::force_recycle(self, first_block, count).map_err(SimError::from)
+        SwlDriver::force_recycle(self, first_block, count).map_err(SimError::from)
     }
 }
 
@@ -175,6 +160,15 @@ pub enum Layer<S: Sink = NullSink> {
     Ftl(PageMappedFtl<S>),
     /// Block-mapping NFTL.
     Nftl(BlockMappedNftl<S>),
+}
+
+macro_rules! delegate {
+    ($self:ident, $inner:ident => $body:expr) => {
+        match $self {
+            Layer::Ftl($inner) => $body,
+            Layer::Nftl($inner) => $body,
+        }
+    };
 }
 
 impl<S: Sink> Layer<S> {
@@ -233,19 +227,13 @@ impl<S: Sink> Layer<S> {
     /// Shuts the layer down, returning the chip (and the telemetry sink
     /// riding on it — recover it with [`NandDevice::into_sink`]).
     pub fn into_device(self) -> NandDevice<S> {
-        match self {
-            Layer::Ftl(l) => l.into_device(),
-            Layer::Nftl(l) => l.into_device(),
-        }
+        delegate!(self, l => l.into_device())
     }
 
     /// Attaches (or replaces) a pre-built SW Leveler — e.g. one restored
     /// from a persistence snapshot after [`Layer::mount`].
     pub fn attach_swl(&mut self, swl: SwLeveler) {
-        match self {
-            Layer::Ftl(l) => l.attach_swl(swl),
-            Layer::Nftl(l) => l.attach_swl(swl),
-        }
+        delegate!(self, l => l.attach_swl(swl))
     }
 
     /// Manually invokes SWL-Procedure (e.g. from a timer).
@@ -254,10 +242,7 @@ impl<S: Sink> Layer<S> {
     ///
     /// Propagates reclamation failures as [`SimError`].
     pub fn run_swl(&mut self) -> Result<LevelOutcome, SimError> {
-        match self {
-            Layer::Ftl(l) => l.run_swl().map_err(SimError::from),
-            Layer::Nftl(l) => l.run_swl().map_err(SimError::from),
-        }
+        delegate!(self, l => l.run_swl().map_err(SimError::from))
     }
 
     /// Runs exactly one SWL-Procedure step, ignoring the local threshold —
@@ -267,10 +252,7 @@ impl<S: Sink> Layer<S> {
     ///
     /// Propagates reclamation failures as [`SimError`].
     pub fn run_swl_step(&mut self) -> Result<LevelOutcome, SimError> {
-        match self {
-            Layer::Ftl(l) => l.run_swl_step().map_err(SimError::from),
-            Layer::Nftl(l) => l.run_swl_step().map_err(SimError::from),
-        }
+        delegate!(self, l => l.run_swl_step().map_err(SimError::from))
     }
 
     /// Creates copy-on-write snapshot `id` of the current logical contents.
@@ -323,15 +305,6 @@ impl<S: Sink> Layer<S> {
             Layer::Nftl(_) => Err(SimError::SnapshotUnsupported),
         }
     }
-}
-
-macro_rules! delegate {
-    ($self:ident, $inner:ident => $body:expr) => {
-        match $self {
-            Layer::Ftl($inner) => $body,
-            Layer::Nftl($inner) => $body,
-        }
-    };
 }
 
 impl<S: Sink> TranslationLayer for Layer<S> {
